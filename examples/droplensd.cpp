@@ -12,11 +12,14 @@
 //   $ ./droplensd [--small] [--seed=N] [--port=P] [--whois-port=P]
 //                 [--admin-port=P] [--threads=N] [--date-offset=DAYS]
 //                 [--snapshot-dir=PATH] [--max-resident=N]
-//                 [--transport=epoll|threads] [--max-conns=N]
-//                 [--idle-timeout-ms=MS] [--max-inflight=N]
+//                 [--max-conns=N] [--idle-timeout-ms=MS] [--max-inflight=N]
 //                 [--follow[=DAYS_PER_SEC]] [--compact-every=DAYS]
 //                 [--log-level=debug|info|warn|error]
 //                 [--log-format=logfmt|json]
+//
+// A flag it does not know, or a number that does not parse or is out of
+// range (a port above 65535, --threads above 1024, --compact-every=0, a
+// --date-offset outside the study window), is logged and exits 2.
 //
 // Then, from another terminal:  printf '!gAS64500\n' | nc 127.0.0.1 4343
 // With --admin-port=P (or its old spelling --metrics-port=P), the admin
@@ -28,15 +31,14 @@
 //   curl http://127.0.0.1:P/slowz      slowest requests with stage splits
 //   curl http://127.0.0.1:P/logz       recent log records + suppression
 //
-// The serving edge defaults to the hardened epoll transport (a fixed pool
-// of event threads; see svc/epoll_transport.hpp) — --transport=threads
-// falls back to thread-per-connection. --max-conns caps concurrent
-// connections per listener (excess accepts get a typed overload reply),
-// --idle-timeout-ms bounds quiet connections (slowloris drips included),
-// and --max-inflight turns on load shedding: bulk ops shed first, queries
-// next, stats/admin last, so observability survives overload. All three
-// fronts (binary, whois, admin HTTP) share the same limits; every limit,
-// shed, and disconnect reason is a droplens_transport_* metric.
+// Every front rides the epoll serving edge (a fixed pool of event threads;
+// see svc/epoll_transport.hpp). --max-conns caps concurrent connections per
+// listener (excess accepts get a typed overload reply), --idle-timeout-ms
+// bounds quiet connections (slowloris drips included), and --max-inflight
+// turns on load shedding: bulk ops shed first, queries next, stats/admin
+// last, so observability survives overload. All three fronts (binary,
+// whois, admin HTTP) share the same limits; every limit, shed, and
+// disconnect reason is a droplens_transport_* metric.
 //
 // With --follow the daemon goes live: a follower thread lowers the world
 // into the canonical event stream (sim::EventReplayer), fast-forwards the
@@ -56,10 +58,13 @@
 // bounds how many days stay materialized at once (LRU beyond it).
 // Snapshot versions come from the SnapshotStore's monotonic counter, so no
 // two artifacts ever share one.
+#include <charconv>
 #include <csignal>
-#include <cstring>
+#include <limits>
 #include <memory>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <thread>
 
 #include "core/data_quality.hpp"
@@ -92,6 +97,27 @@ volatile std::sig_atomic_t g_stop = 0;
 void on_sighup(int) { g_reload = 1; }
 void on_sigterm(int) { g_stop = 1; }
 
+// Parses all of `text` as a T in [lo, hi]; logs the flag and returns false
+// on anything else (empty, trailing junk, a sign on an unsigned, overflow).
+template <typename T>
+bool parse_flag(std::string_view flag, std::string_view text, T* out,
+                T lo = std::numeric_limits<T>::lowest(),
+                T hi = std::numeric_limits<T>::max()) {
+  T v{};
+  const char* end = text.data() + text.size();
+  auto [ptr, ec] = std::from_chars(text.data(), end, v);
+  if (ec != std::errc() || ptr != end || !(v >= lo && v <= hi)) {
+    DLOG_ERROR("flag expects a number in range",
+               {{"flag", std::string(flag)},
+                {"min", std::to_string(lo)},
+                {"max", std::to_string(hi)},
+                {"got", std::string(text)}});
+    return false;
+  }
+  *out = v;
+  return true;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -105,7 +131,6 @@ int main(int argc, char** argv) {
   int32_t date_offset = 60;
   std::string snapshot_dir;
   size_t max_resident = 16;
-  std::string transport = "epoll";
   size_t max_conns = 0;
   uint32_t idle_timeout_ms = 0;
   size_t max_inflight = 0;
@@ -114,79 +139,79 @@ int main(int argc, char** argv) {
   int compact_every = 7;
   obs::Logger::Options log_options;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--small") == 0) small = true;
-    if (std::strncmp(argv[i], "--seed=", 7) == 0) {
-      seed = std::stoull(argv[i] + 7);
-    }
-    if (std::strncmp(argv[i], "--port=", 7) == 0) {
-      port = static_cast<uint16_t>(std::stoul(argv[i] + 7));
-    }
-    if (std::strncmp(argv[i], "--whois-port=", 13) == 0) {
-      whois_port = static_cast<uint16_t>(std::stoul(argv[i] + 13));
-    }
-    if (std::strncmp(argv[i], "--metrics-port=", 15) == 0) {
+    const std::string_view arg = argv[i];
+    // The text after `prefix` when `arg` is that flag.
+    auto value =
+        [&](std::string_view prefix) -> std::optional<std::string_view> {
+      if (arg.substr(0, prefix.size()) != prefix) return std::nullopt;
+      return arg.substr(prefix.size());
+    };
+    bool ok = true;
+    if (arg == "--small") {
+      small = true;
+    } else if (auto v = value("--seed=")) {
+      ok = parse_flag("--seed", *v, &seed);
+    } else if (auto v = value("--port=")) {
+      ok = parse_flag("--port", *v, &port);
+    } else if (auto v = value("--whois-port=")) {
+      ok = parse_flag("--whois-port", *v, &whois_port);
+    } else if (auto v = value("--admin-port=")) {
       metrics = true;
-      metrics_port = static_cast<uint16_t>(std::stoul(argv[i] + 15));
-    }
-    if (std::strncmp(argv[i], "--admin-port=", 13) == 0) {
+      ok = parse_flag("--admin-port", *v, &metrics_port);
+    } else if (auto v = value("--metrics-port=")) {
       metrics = true;
-      metrics_port = static_cast<uint16_t>(std::stoul(argv[i] + 13));
-    }
-    if (std::strncmp(argv[i], "--log-level=", 12) == 0) {
-      if (auto level = obs::parse_log_level(argv[i] + 12)) {
+      ok = parse_flag("--metrics-port", *v, &metrics_port);
+    } else if (auto v = value("--log-level=")) {
+      if (auto level = obs::parse_log_level(*v)) {
         log_options.level = *level;
       } else {
-        DLOG_ERROR("unknown --log-level", {{"value", argv[i] + 12}});
-        return 2;
+        DLOG_ERROR("unknown --log-level", {{"value", std::string(*v)}});
+        ok = false;
       }
-    }
-    if (std::strncmp(argv[i], "--log-format=", 13) == 0) {
-      if (auto format = obs::parse_log_format(argv[i] + 13)) {
+    } else if (auto v = value("--log-format=")) {
+      if (auto format = obs::parse_log_format(*v)) {
         log_options.format = *format;
       } else {
-        DLOG_ERROR("unknown --log-format", {{"value", argv[i] + 13}});
-        return 2;
+        DLOG_ERROR("unknown --log-format", {{"value", std::string(*v)}});
+        ok = false;
       }
-    }
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      threads = static_cast<unsigned>(std::stoul(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--date-offset=", 14) == 0) {
-      date_offset = std::stoi(argv[i] + 14);
-    }
-    if (std::strncmp(argv[i], "--snapshot-dir=", 15) == 0) {
-      snapshot_dir = argv[i] + 15;
-    }
-    if (std::strncmp(argv[i], "--max-resident=", 15) == 0) {
-      max_resident = std::stoull(argv[i] + 15);
-    }
-    if (std::strncmp(argv[i], "--transport=", 12) == 0) {
-      transport = argv[i] + 12;
-    }
-    if (std::strncmp(argv[i], "--max-conns=", 12) == 0) {
-      max_conns = std::stoull(argv[i] + 12);
-    }
-    if (std::strncmp(argv[i], "--idle-timeout-ms=", 18) == 0) {
-      idle_timeout_ms = static_cast<uint32_t>(std::stoul(argv[i] + 18));
-    }
-    if (std::strncmp(argv[i], "--max-inflight=", 15) == 0) {
-      max_inflight = std::stoull(argv[i] + 15);
-    }
-    if (std::strcmp(argv[i], "--follow") == 0) follow = true;
-    if (std::strncmp(argv[i], "--follow=", 9) == 0) {
+    } else if (auto v = value("--threads=")) {
+      ok = parse_flag("--threads", *v, &threads, 0u, 1024u);
+    } else if (auto v = value("--date-offset=")) {
+      ok = parse_flag("--date-offset", *v, &date_offset);
+    } else if (auto v = value("--snapshot-dir=")) {
+      snapshot_dir = std::string(*v);
+    } else if (auto v = value("--max-resident=")) {
+      ok = parse_flag("--max-resident", *v, &max_resident);
+    } else if (auto v = value("--max-conns=")) {
+      ok = parse_flag("--max-conns", *v, &max_conns);
+    } else if (auto v = value("--idle-timeout-ms=")) {
+      ok = parse_flag("--idle-timeout-ms", *v, &idle_timeout_ms);
+    } else if (auto v = value("--max-inflight=")) {
+      ok = parse_flag("--max-inflight", *v, &max_inflight);
+    } else if (arg == "--follow") {
       follow = true;
-      follow_rate = std::stod(argv[i] + 9);
+    } else if (auto v = value("--follow=")) {
+      follow = true;
+      ok = parse_flag("--follow", *v, &follow_rate, 0.0, 1e6);
+    } else if (auto v = value("--compact-every=")) {
+      ok = parse_flag("--compact-every", *v, &compact_every, 1);
+    } else {
+      DLOG_ERROR("unknown flag", {{"flag", std::string(arg)}});
+      ok = false;
     }
-    if (std::strncmp(argv[i], "--compact-every=", 16) == 0) {
-      compact_every = std::stoi(argv[i] + 16);
-    }
+    if (!ok) return 2;
   }
-  if (compact_every < 1) compact_every = 1;
-  svc::TransportKind transport_kind;
-  try {
-    transport_kind = svc::parse_transport_kind(transport);
-  } catch (const std::exception& e) {
-    DLOG_ERROR(e.what());
+  sim::ScenarioConfig config =
+      small ? sim::ScenarioConfig::small() : sim::ScenarioConfig{};
+  if (seed) config.seed = seed;
+  const size_t window_days =
+      static_cast<size_t>(config.window_end.days() -
+                          config.window_begin.days() + 1);
+  if (date_offset < 0 || static_cast<size_t>(date_offset) >= window_days) {
+    DLOG_ERROR("--date-offset lies outside the study window",
+               {{"got", std::to_string(date_offset)},
+                {"window_days", std::to_string(window_days)}});
     return 2;
   }
 
@@ -206,9 +231,6 @@ int main(int argc, char** argv) {
   obs::FlightRecorder recorder;
   obs::ScopedFlightRecorder scoped_recorder(recorder);
 
-  sim::ScenarioConfig config =
-      small ? sim::ScenarioConfig::small() : sim::ScenarioConfig{};
-  if (seed) config.seed = seed;
   DLOG_INFO("generating world",
             {{"scale", small ? "small" : "paper-scale"},
              {"seed", std::to_string(config.seed)}});
@@ -227,9 +249,6 @@ int main(int argc, char** argv) {
   // droplens_feed_records_skipped_total works unchanged on archive-fed runs.
   core::DataQuality quality;
   study.quality = &quality;
-  const size_t window_days =
-      static_cast<size_t>(config.window_end.days() -
-                          config.window_begin.days() + 1);
   quality.export_metrics(registry, window_days);
   core::DropIndex index = core::DropIndex::build(study);
   net::Date date = config.window_begin + date_offset;
@@ -259,8 +278,7 @@ int main(int argc, char** argv) {
     o.max_inflight = max_inflight;
     return o;
   };
-  std::unique_ptr<svc::TransportServer> query_tcp = svc::make_transport_server(
-      transport_kind, server, front_options("query", port));
+  svc::EpollServer query_tcp(server, front_options("query", port));
 
   // --follow: the live side. The publisher owns event ingestion and the
   // delta log; the server serves its kSubscribeRequest frames from any
@@ -324,8 +342,8 @@ int main(int argc, char** argv) {
 
   irr::WhoisServer whois(world->irr, date);
   svc::WhoisService whois_service(whois);
-  std::unique_ptr<svc::TransportServer> whois_tcp = svc::make_transport_server(
-      transport_kind, whois_service, front_options("whois", whois_port));
+  svc::EpollServer whois_tcp(whois_service,
+                            front_options("whois", whois_port));
 
   // The admin plane: /metrics plus health, status, traces, and logs, all
   // reading the same objects the daemon serves with — the /healthz checks
@@ -388,10 +406,10 @@ int main(int argc, char** argv) {
       return body;
     });
   }
-  std::unique_ptr<svc::TransportServer> metrics_tcp;
+  std::unique_ptr<svc::EpollServer> metrics_tcp;
   if (metrics) {
-    metrics_tcp = svc::make_transport_server(
-        transport_kind, admin_service, front_options("admin", metrics_port));
+    metrics_tcp = std::make_unique<svc::EpollServer>(
+        admin_service, front_options("admin", metrics_port));
   }
 
   std::signal(SIGHUP, on_sighup);
@@ -402,13 +420,12 @@ int main(int argc, char** argv) {
             {{"window", config.window_begin.to_string() + ".." +
                             config.window_end.to_string()},
              {"warm_date", date.to_string()},
-             {"query_port", std::to_string(query_tcp->port())},
-             {"whois_port", std::to_string(whois_tcp->port())},
+             {"query_port", std::to_string(query_tcp.port())},
+             {"whois_port", std::to_string(whois_tcp.port())},
              {"engine_threads", std::to_string(pool.concurrency())},
              {"max_resident", std::to_string(max_resident)}});
   DLOG_INFO("transport limits (0 = unlimited)",
-            {{"transport", transport},
-             {"max_conns", std::to_string(max_conns)},
+            {{"max_conns", std::to_string(max_conns)},
              {"idle_timeout_ms", std::to_string(idle_timeout_ms)},
              {"max_inflight", std::to_string(max_inflight)}});
   if (metrics_tcp) {
@@ -436,8 +453,8 @@ int main(int argc, char** argv) {
 
   DLOG_INFO("shutting down");
   if (follower.joinable()) follower.join();
-  query_tcp->stop();
-  whois_tcp->stop();
+  query_tcp.stop();
+  whois_tcp.stop();
   if (metrics_tcp) metrics_tcp->stop();
   svc::ServerStats stats = server.stats();
   DLOG_INFO("served", {{"frames", std::to_string(stats.requests)},

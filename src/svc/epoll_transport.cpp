@@ -1,5 +1,7 @@
 #include "svc/epoll_transport.hpp"
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -11,8 +13,11 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
 #include <stdexcept>
+#include <utility>
 
+#include "obs/metrics.hpp"
 #include "util/error.hpp"
 
 namespace droplens::svc {
@@ -39,7 +44,169 @@ uint64_t steady_ms() {
           .count());
 }
 
+const char* kReasonNames[kDisconnectReasonCount] = {
+    "peer_closed",    "malformed",      "idle_timeout",
+    "read_deadline",  "write_deadline", "write_overflow",
+    "shed",           "server_stop",    "error",
+};
+
+const char* kClassNames[kMessageClassCount] = {"bulk", "normal", "control"};
+
+obs::Labels with_listener(const std::string& name,
+                          std::initializer_list<std::pair<const char*,
+                                                          const char*>>
+                              extra = {}) {
+  obs::Labels labels{{"transport", "epoll"}};
+  if (!name.empty()) labels.emplace_back("listener", name);
+  for (const auto& [k, v] : extra) labels.emplace_back(k, v);
+  return labels;
+}
+
+/// A bound, listening, nonblocking socket on 127.0.0.1. Every failure —
+/// setsockopt included — throws std::runtime_error.
+struct Listener {
+  int fd = -1;
+  uint16_t port = 0;
+};
+
+Listener open_listener(const ListenerOptions& options) {
+  Listener l;
+  l.fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
+  if (l.fd < 0) fail("socket");
+  try {
+    int one = 1;
+    if (::setsockopt(l.fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one)) < 0) {
+      fail("setsockopt(SO_REUSEADDR)");
+    }
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = htons(options.port);
+    if (::bind(l.fd, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) < 0) {
+      fail("bind");
+    }
+    if (::listen(l.fd, options.backlog) < 0) fail("listen");
+    socklen_t len = sizeof(addr);
+    if (::getsockname(l.fd, reinterpret_cast<sockaddr*>(&addr), &len) < 0) {
+      fail("getsockname");
+    }
+    l.port = ntohs(addr.sin_port);
+  } catch (...) {
+    ::close(l.fd);
+    throw;
+  }
+  return l;
+}
+
 }  // namespace
+
+// ---------------------------------------------------------------------------
+// TransportCounters
+
+/// Plain atomics back stats(); obs handles (bound from the installed
+/// registry, no-ops otherwise) put the same numbers on /metrics.
+class TransportCounters {
+ public:
+  explicit TransportCounters(const std::string& name) {
+    accepted_c_ = obs::counter("droplens_transport_accepted_total",
+                               with_listener(name),
+                               "Connections accepted over the lifetime");
+    overload_rejected_c_ =
+        obs::counter("droplens_transport_overload_rejects_total",
+                     with_listener(name),
+                     "Accepts refused at the connection cap");
+    accept_errors_c_ = obs::counter("droplens_transport_accept_errors_total",
+                                    with_listener(name),
+                                    "Transient accept() failures survived");
+    open_g_ = obs::gauge("droplens_transport_open_connections",
+                         with_listener(name), "Currently open connections");
+    buffered_bytes_g_ = obs::gauge("droplens_transport_buffered_bytes",
+                                   with_listener(name),
+                                   "Response bytes queued for slow readers");
+    inflight_g_ = obs::gauge(
+        "droplens_transport_inflight", with_listener(name),
+        "Messages being served plus responses not yet flushed");
+    for (size_t i = 0; i < kMessageClassCount; ++i) {
+      shed_c_[i] = obs::counter(
+          "droplens_transport_shed_total",
+          with_listener(name, {{"class", kClassNames[i]}}),
+          "Messages refused under overload, by priority class");
+    }
+    for (size_t i = 0; i < kDisconnectReasonCount; ++i) {
+      disconnects_c_[i] = obs::counter(
+          "droplens_transport_disconnects_total",
+          with_listener(name, {{"reason", kReasonNames[i]}}),
+          "Connections closed, by reason");
+    }
+  }
+
+  /// Atomically reserve a connection slot against `max_conns` (0 = no cap).
+  /// Returns false — and counts an overload rejection — when full.
+  bool try_accept(size_t max_conns) {
+    // Reserve-then-check keeps the cap strict even when several event
+    // threads race through accept at once.
+    uint64_t now_open = open_.fetch_add(1, std::memory_order_relaxed) + 1;
+    if (max_conns != 0 && now_open > max_conns) {
+      open_.fetch_sub(1, std::memory_order_relaxed);
+      overload_rejected_.fetch_add(1, std::memory_order_relaxed);
+      overload_rejected_c_.inc();
+      return false;
+    }
+    accepted_.fetch_add(1, std::memory_order_relaxed);
+    accepted_c_.inc();
+    open_g_.set(static_cast<int64_t>(now_open));
+    return true;
+  }
+  void on_close(DisconnectReason r) {
+    uint64_t now_open = open_.fetch_sub(1, std::memory_order_relaxed) - 1;
+    open_g_.set(static_cast<int64_t>(now_open));
+    disconnects_[static_cast<size_t>(r)].fetch_add(1,
+                                                   std::memory_order_relaxed);
+    disconnects_c_[static_cast<size_t>(r)].inc();
+  }
+  void on_accept_error() {
+    accept_errors_.fetch_add(1, std::memory_order_relaxed);
+    accept_errors_c_.inc();
+  }
+  void on_shed(MessageClass c) {
+    shed_[static_cast<size_t>(c)].fetch_add(1, std::memory_order_relaxed);
+    shed_c_[static_cast<size_t>(c)].inc();
+  }
+  void add_buffered(int64_t delta) { buffered_bytes_g_.add(delta); }
+  void set_inflight(int64_t v) { inflight_g_.set(v); }
+
+  TransportStats snapshot() const {
+    TransportStats s;
+    s.accepted = accepted_.load(std::memory_order_relaxed);
+    s.overload_rejected = overload_rejected_.load(std::memory_order_relaxed);
+    s.accept_errors = accept_errors_.load(std::memory_order_relaxed);
+    s.open = open_.load(std::memory_order_relaxed);
+    for (size_t i = 0; i < kMessageClassCount; ++i) {
+      s.shed[i] = shed_[i].load(std::memory_order_relaxed);
+    }
+    for (size_t i = 0; i < kDisconnectReasonCount; ++i) {
+      s.disconnects[i] = disconnects_[i].load(std::memory_order_relaxed);
+    }
+    return s;
+  }
+
+ private:
+  std::atomic<uint64_t> accepted_{0};
+  std::atomic<uint64_t> overload_rejected_{0};
+  std::atomic<uint64_t> accept_errors_{0};
+  std::atomic<uint64_t> open_{0};
+  std::array<std::atomic<uint64_t>, kMessageClassCount> shed_{};
+  std::array<std::atomic<uint64_t>, kDisconnectReasonCount> disconnects_{};
+
+  obs::Counter accepted_c_;
+  obs::Counter overload_rejected_c_;
+  obs::Counter accept_errors_c_;
+  obs::Gauge open_g_;
+  obs::Gauge buffered_bytes_g_;
+  obs::Gauge inflight_g_;
+  std::array<obs::Counter, kMessageClassCount> shed_c_;
+  std::array<obs::Counter, kDisconnectReasonCount> disconnects_c_;
+};
 
 // ---------------------------------------------------------------------------
 // TimerWheel
@@ -108,9 +275,9 @@ uint64_t TimerWheel::next_wake_delay(uint64_t now_ms,
 EpollServer::EpollServer(Service& service, const TransportOptions& options)
     : service_(service),
       options_(options),
-      counters_("epoll", options.name),
+      counters_(std::make_unique<TransportCounters>(options.name)),
       trace_(options.name) {
-  Listener l = open_listener(options_.listen, /*nonblocking=*/true);
+  Listener l = open_listener(options_.listen);
   listen_fd_ = l.fd;
   port_ = l.port;
   const unsigned threads = std::max(1u, options_.event_threads);
@@ -155,6 +322,8 @@ EpollServer::EpollServer(Service& service, const TransportOptions& options)
 }
 
 EpollServer::~EpollServer() { stop(); }
+
+TransportStats EpollServer::stats() const { return counters_->snapshot(); }
 
 void EpollServer::stop() {
   bool expected = false;
@@ -217,14 +386,14 @@ void EpollServer::loop(Worker& w) {
   // Teardown: this thread owns its shard exclusively, so closing here
   // cannot race in-flight I/O.
   for (auto& [fd, c] : w.conns) {
-    counters_.add_buffered(-static_cast<int64_t>(c->out_bytes));
+    counters_->add_buffered(-static_cast<int64_t>(c->out_bytes));
     if (c->unflushed > 0) {
       inflight_.fetch_sub(c->unflushed, std::memory_order_relaxed);
     }
-    counters_.on_close(DisconnectReason::kServerStop);
+    counters_->on_close(DisconnectReason::kServerStop);
     ::close(fd);
   }
-  counters_.set_inflight(
+  counters_->set_inflight(
       static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
   w.conns.clear();
 }
@@ -236,14 +405,14 @@ void EpollServer::accept_ready(Worker& w, uint64_t now) {
       if (errno == EAGAIN || errno == EWOULDBLOCK) break;
       switch (accept_errno_action(errno)) {
         case AcceptAction::kRetry:
-          counters_.on_accept_error();
+          counters_->on_accept_error();
           continue;
         case AcceptAction::kRetryBackoff:
           // fd exhaustion: the listen fd stays readable (level-triggered),
           // so without a pause this loop would spin hot. A short sleep on
           // the unlucky worker throttles accepts while the other workers
           // keep serving.
-          counters_.on_accept_error();
+          counters_->on_accept_error();
           std::this_thread::sleep_for(std::chrono::milliseconds(10));
           return;
         case AcceptAction::kFatal:
@@ -255,7 +424,7 @@ void EpollServer::accept_ready(Worker& w, uint64_t now) {
       ::close(fd);
       return;
     }
-    if (!counters_.try_accept(options_.max_conns)) {
+    if (!counters_->try_accept(options_.max_conns)) {
       // Over the cap: a typed overload reply when the protocol has one
       // (best effort — the socket buffer of a fresh connection always has
       // room), then an immediate close. Never an unbounded fd.
@@ -283,7 +452,7 @@ void EpollServer::accept_ready(Worker& w, uint64_t now) {
     ev.events = EPOLLIN;
     ev.data.fd = fd;
     if (::epoll_ctl(w.epoll_fd, EPOLL_CTL_ADD, fd, &ev) < 0) {
-      counters_.on_close(DisconnectReason::kError);
+      counters_->on_close(DisconnectReason::kError);
       ::close(fd);
       continue;
     }
@@ -376,7 +545,7 @@ bool EpollServer::drain_messages(Worker& w, Conn& c, uint64_t now) {
     const std::string_view message(c.in.data(), n);
     const MessageClass cls = service_.classify(message);
     if (should_shed(cls)) {
-      counters_.on_shed(cls);
+      counters_->on_shed(cls);
       std::string reply = service_.overload_response(message);
       c.in.erase(0, n);
       finish_trace(c, "shed");
@@ -388,7 +557,7 @@ bool EpollServer::drain_messages(Worker& w, Conn& c, uint64_t now) {
       continue;
     }
     inflight_.fetch_add(1, std::memory_order_relaxed);
-    counters_.set_inflight(
+    counters_->set_inflight(
         static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
     c.unflushed += 1;
     c.trace_reading = false;
@@ -405,7 +574,7 @@ bool EpollServer::enqueue(Worker& w, Conn& c, std::string&& bytes,
                           uint64_t now) {
   if (!bytes.empty()) {
     c.out_bytes += bytes.size();
-    counters_.add_buffered(static_cast<int64_t>(bytes.size()));
+    counters_->add_buffered(static_cast<int64_t>(bytes.size()));
     c.out.push_back(std::move(bytes));
   }
   if (!flush_out(w, c, now)) return false;
@@ -444,7 +613,7 @@ bool EpollServer::flush_out(Worker& w, Conn& c, uint64_t now) {
     }
     c.last_activity = now;  // a draining peer is not idle
     c.out_bytes -= static_cast<size_t>(written);
-    counters_.add_buffered(-written);
+    counters_->add_buffered(-written);
     size_t left = static_cast<size_t>(written);
     while (left > 0) {
       const size_t head_remaining = c.out.front().size() - c.out_head_off;
@@ -464,7 +633,7 @@ bool EpollServer::flush_out(Worker& w, Conn& c, uint64_t now) {
     if (c.unflushed > 0) {
       inflight_.fetch_sub(c.unflushed, std::memory_order_relaxed);
       c.unflushed = 0;
-      counters_.set_inflight(
+      counters_->set_inflight(
           static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
     }
     // The response reached the kernel: the request's trace is complete.
@@ -516,13 +685,13 @@ void EpollServer::close_conn(Worker& w, Conn& c, DisconnectReason reason) {
   const int fd = c.fd;
   w.wheel->cancel(static_cast<uint64_t>(fd));
   ::epoll_ctl(w.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  counters_.add_buffered(-static_cast<int64_t>(c.out_bytes));
+  counters_->add_buffered(-static_cast<int64_t>(c.out_bytes));
   if (c.unflushed > 0) {
     inflight_.fetch_sub(c.unflushed, std::memory_order_relaxed);
-    counters_.set_inflight(
+    counters_->set_inflight(
         static_cast<int64_t>(inflight_.load(std::memory_order_relaxed)));
   }
-  counters_.on_close(reason);
+  counters_->on_close(reason);
   ::close(fd);
   w.conns.erase(fd);  // destroys c — nothing may touch it past this line
 }
@@ -598,24 +767,6 @@ void EpollServer::expire_timers(Worker& w, uint64_t now) {
     }
     rearm_timer(w, c);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Factory
-
-TransportKind parse_transport_kind(std::string_view name) {
-  if (name == "epoll") return TransportKind::kEpoll;
-  if (name == "threads") return TransportKind::kThreads;
-  throw std::runtime_error("svc: unknown transport '" + std::string(name) +
-                           "' (expected epoll|threads)");
-}
-
-std::unique_ptr<TransportServer> make_transport_server(
-    TransportKind kind, Service& service, const TransportOptions& options) {
-  if (kind == TransportKind::kEpoll) {
-    return std::make_unique<EpollServer>(service, options);
-  }
-  return std::make_unique<TcpServer>(service, options);
 }
 
 }  // namespace droplens::svc

@@ -1,13 +1,13 @@
-// The hardened serving edge: an epoll transport with first-class
-// robustness semantics.
+// The serving edge: droplens's TCP server, an epoll transport with
+// first-class robustness semantics.
 //
-// EpollServer replaces TcpServer's thread-per-connection model with a small
-// fixed pool of event-loop threads multiplexing nonblocking sockets. Every
-// thread owns a private epoll instance plus a shard of the connections; the
-// shared listening socket sits in every epoll with EPOLLEXCLUSIVE, so
-// accepts spread across the pool without a handoff queue and each
-// connection is confined to the thread that accepted it (no cross-thread
-// connection state, which is what keeps the loop TSan-clean).
+// EpollServer runs a small fixed pool of event-loop threads multiplexing
+// nonblocking sockets; every front (binary, whois, admin HTTP) rides it.
+// Every thread owns a private epoll instance plus a shard of the
+// connections; the shared listening socket sits in every epoll with
+// EPOLLEXCLUSIVE, so accepts spread across the pool without a handoff queue
+// and each connection is confined to the thread that accepted it (no
+// cross-thread connection state, which is what keeps the loop TSan-clean).
 //
 // Robustness is the point, not an afterthought:
 //
@@ -32,7 +32,8 @@
 //                     server defends itself
 //
 // Every limit, shed decision, timeout, and disconnect reason is a
-// TransportCounters instrument, so /metrics shows the defense in action.
+// TransportStats field and a droplens_transport_* series, so /metrics shows
+// the defense in action.
 //
 // The per-connection state machine (documented in DESIGN.md §11):
 //
@@ -47,6 +48,7 @@
 //                · write-queue overflow · shed (no typed reply) · stop()
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -97,21 +99,27 @@ class TimerWheel {
   std::unordered_map<uint64_t, uint64_t> armed_;  // id -> live deadline
 };
 
+/// The instrument block behind stats() and the droplens_transport_* series;
+/// defined in epoll_transport.cpp.
+class TransportCounters;
+
 /// Epoll daemon on 127.0.0.1. Port 0 binds an ephemeral port. Runs any
 /// Service unchanged; see the file comment for the robustness contract.
-class EpollServer : public TransportServer {
+class EpollServer {
  public:
   /// Throws std::runtime_error if the socket cannot be bound or the epoll
   /// machinery cannot be set up.
   EpollServer(Service& service, const TransportOptions& options);
-  ~EpollServer() override;
+  ~EpollServer();
 
   EpollServer(const EpollServer&) = delete;
   EpollServer& operator=(const EpollServer&) = delete;
 
-  uint16_t port() const override { return port_; }
-  void stop() override;
-  TransportStats stats() const override { return counters_.snapshot(); }
+  uint16_t port() const { return port_; }
+  /// Stop accepting, close open connections, join the event threads.
+  /// Idempotent; also run by the destructor.
+  void stop();
+  TransportStats stats() const;
 
   /// Current in-flight work (messages being served + unflushed responses).
   size_t inflight() const {
@@ -180,7 +188,7 @@ class EpollServer : public TransportServer {
 
   Service& service_;
   TransportOptions options_;
-  mutable TransportCounters counters_;
+  std::unique_ptr<TransportCounters> counters_;
   TraceBinding trace_;
   int listen_fd_ = -1;
   uint16_t port_ = 0;
@@ -189,16 +197,5 @@ class EpollServer : public TransportServer {
   std::atomic<size_t> inflight_bias_{0};
   std::vector<std::unique_ptr<Worker>> workers_;
 };
-
-/// Which transport a frontend should run on.
-enum class TransportKind : uint8_t { kThreads, kEpoll };
-
-/// "epoll" or "threads" → kind; throws std::runtime_error on anything else.
-TransportKind parse_transport_kind(std::string_view name);
-
-/// Construct the chosen transport behind the common interface. The
-/// epoll-only TransportOptions fields are inert for kThreads.
-std::unique_ptr<TransportServer> make_transport_server(
-    TransportKind kind, Service& service, const TransportOptions& options);
 
 }  // namespace droplens::svc

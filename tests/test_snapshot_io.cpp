@@ -267,7 +267,9 @@ TEST(SegmentMapView, AnswersIdenticallyAndRejectsNonCanonical) {
     const uint8_t* a = owned.lookup(P(s));
     const uint8_t* b = view.lookup(P(s));
     ASSERT_EQ(a == nullptr, b == nullptr) << s;
-    if (a) EXPECT_EQ(*a, *b) << s;
+    if (a) {
+      EXPECT_EQ(*a, *b) << s;
+    }
   }
 
   using Seg = net::SegmentMap<uint8_t>::Segment;

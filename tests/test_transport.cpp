@@ -1,9 +1,8 @@
-// The hardened serving edge: timer-wheel semantics, accept-errno policy,
-// connection caps with typed refusals, idle/read deadlines (the slowloris
-// regression, on both transports and all three protocol fronts), write-queue
-// backpressure, shed-priority ordering, hostile-client drills via
-// sim::NetFaultInjector, and byte-identical answers across the threads and
-// epoll transports.
+// The serving edge: timer-wheel semantics, accept-errno policy, connection
+// caps with typed refusals, idle/read deadlines (the slowloris regression,
+// on all three protocol fronts), write-queue backpressure, shed-priority
+// ordering, hostile-client drills via sim::NetFaultInjector, and answers
+// over TCP byte-identical to the in-process LoopbackConnection.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -250,23 +249,24 @@ size_t reason_count(const svc::TransportStats& s, svc::DisconnectReason r) {
 }
 
 // ---------------------------------------------------------------------------
-// Both transports, one contract
+// The robustness contract, on every protocol front
 
-class TransportEdge : public ::testing::TestWithParam<svc::TransportKind> {
+// One instance, Kinds/TransportEdge.*/epoll: the suite keeps its
+// instantiation so the test ids stay stable.
+enum class Edge : uint8_t { kEpoll = 1 };
+
+class TransportEdge : public ::testing::TestWithParam<Edge> {
  protected:
-  std::unique_ptr<svc::TransportServer> make(svc::Service& service,
-                                             const svc::TransportOptions& o) {
-    return svc::make_transport_server(GetParam(), service, o);
+  std::unique_ptr<svc::EpollServer> make(svc::Service& service,
+                                         const svc::TransportOptions& o) {
+    return std::make_unique<svc::EpollServer>(service, o);
   }
 };
 
-INSTANTIATE_TEST_SUITE_P(
-    Kinds, TransportEdge,
-    ::testing::Values(svc::TransportKind::kThreads,
-                      svc::TransportKind::kEpoll),
-    [](const ::testing::TestParamInfo<svc::TransportKind>& info) {
-      return info.param == svc::TransportKind::kEpoll ? "epoll" : "threads";
-    });
+INSTANTIATE_TEST_SUITE_P(Kinds, TransportEdge, ::testing::Values(Edge::kEpoll),
+                         [](const ::testing::TestParamInfo<Edge>&) {
+                           return std::string("epoll");
+                         });
 
 TEST_P(TransportEdge, ConnectionCapRejectsWithTypedReply) {
   EchoService service;
@@ -426,7 +426,7 @@ TEST_P(TransportEdge, HttpOversizedBodyGets413) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoll-only semantics: backpressure, shedding, floods
+// Backpressure, shedding, floods
 
 TEST(EpollEdge, WriteQueueWatermarkDisconnectsSlowReader) {
   EchoService service;
@@ -572,7 +572,8 @@ TEST(EpollEdge, StopWhileConnectionsAreOpenCountsServerStop) {
 }
 
 // ---------------------------------------------------------------------------
-// Cross-transport fidelity: same Service, byte-identical wire behavior
+// Wire fidelity: the same Service answers byte-identically over TCP and
+// in-process
 
 class TransportWorld : public ::testing::Test {
  protected:
@@ -602,9 +603,7 @@ TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   net::Date d = config_->window_begin + 60;
   svc::Server server(svc::compile_snapshot(s, index, d, 7));
 
-  svc::TransportOptions o;
-  svc::TcpServer threads_srv(server, o);
-  svc::EpollServer epoll_srv(server, o);
+  svc::EpollServer epoll_srv(server, svc::TransportOptions{});
 
   std::vector<svc::Query> batch;
   for (const core::DropEntry& e : index.entries()) {
@@ -615,20 +614,15 @@ TEST_F(TransportWorld, BinaryAnswersAreByteIdenticalAcrossTransports) {
   ASSERT_FALSE(batch.empty());
   const std::string request = svc::encode_query_request(batch);
 
-  svc::TcpClientConnection via_threads("127.0.0.1", threads_srv.port(),
-                                       svc::frame_size);
   svc::TcpClientConnection via_epoll("127.0.0.1", epoll_srv.port(),
                                      svc::frame_size);
   svc::LoopbackConnection loop(server);
-  const std::string reference = loop.roundtrip(request);
-  EXPECT_EQ(via_threads.roundtrip(request), reference);
-  EXPECT_EQ(via_epoll.roundtrip(request), reference);
+  EXPECT_EQ(via_epoll.roundtrip(request), loop.roundtrip(request));
 }
 
 TEST_F(TransportWorld, WhoisAnswersAreByteIdenticalAcrossTransports) {
   irr::WhoisServer whois(world_->irr, config_->window_begin + 60);
   svc::WhoisService service(whois);
-  svc::TcpServer threads_srv(service, svc::TransportOptions{});
   svc::EpollServer epoll_srv(service, svc::TransportOptions{});
 
   net::Asn origin(0);
@@ -643,14 +637,13 @@ TEST_F(TransportWorld, WhoisAnswersAreByteIdenticalAcrossTransports) {
       "!gAS4294967296\n",  // bad ASN: typed F line
       "!gASbanana\n",
   };
-  svc::TcpClientConnection via_threads("127.0.0.1", threads_srv.port(),
-                                       svc::whois_response_size);
   svc::TcpClientConnection via_epoll("127.0.0.1", epoll_srv.port(),
                                      svc::whois_response_size);
+  svc::LoopbackConnection loop(service);
   for (const std::string& q : queries) {
     const std::string direct =
         whois.handle(std::string_view(q).substr(0, q.size() - 1));
-    EXPECT_EQ(via_threads.roundtrip(q), direct) << q;
+    EXPECT_EQ(loop.roundtrip(q), direct) << q;
     EXPECT_EQ(via_epoll.roundtrip(q), direct) << q;
   }
 }
