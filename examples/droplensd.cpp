@@ -45,10 +45,11 @@
 // pre-window history, then paces through the study window at DAYS_PER_SEC
 // (default 50; 0 = as fast as possible), feeding every event through the
 // stream::Publisher — live Applier state, online alarms, delta log. Every
-// --compact-every days (default 7) the live state is compacted into an
-// immutable snapshot and published as the serving head, so queries for the
-// current day hit the live head while historical dates still resolve
-// through the store. Subscribers (svc::Client + stream::Subscriber) follow
+// --compact-every days (default 1: daily) the live state is compacted into
+// an immutable snapshot and published as the serving head, so queries for
+// the current day hit the live head while historical dates still resolve
+// through the store. A compaction rebuilds only the address ranges the
+// day's events changed, so a daily head costs a few milliseconds. Subscribers (svc::Client + stream::Subscriber) follow
 // the session with serial-numbered delta frames.
 //
 // With --snapshot-dir=PATH snapshots persist as `.dls` files — keyframes
@@ -136,7 +137,7 @@ int main(int argc, char** argv) {
   size_t max_inflight = 0;
   bool follow = false;
   double follow_rate = 50.0;
-  int compact_every = 7;
+  int compact_every = 1;
   obs::Logger::Options log_options;
   for (int i = 1; i < argc; ++i) {
     const std::string_view arg = argv[i];

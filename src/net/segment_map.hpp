@@ -58,6 +58,19 @@ class SegmentMap {
     return m;
   }
 
+  /// Adopt an already-finalized segment array — canonical (see
+  /// is_canonical) and maximally coalesced, the form finalize() produces —
+  /// without painting it. The streaming compactor splices such arrays
+  /// directly. Builds the acceleration index; canonicality is asserted in
+  /// debug builds.
+  static SegmentMap from_segments(std::vector<Segment> segments) {
+    assert(is_canonical(segments));
+    SegmentMap m;
+    m.segments_ = std::move(segments);
+    m.build_index();
+    return m;
+  }
+
   /// True when `segments` satisfies the finalized-form invariant: sorted by
   /// begin, non-empty, non-overlapping, ends within the IPv4 space bound
   /// 2^32. (Maximal coalescing is not required — lookups don't depend on

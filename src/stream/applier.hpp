@@ -7,17 +7,29 @@
 // svc::Snapshot — byte-identical to what compile_snapshot would build for
 // the same day, which tests/test_stream.cpp pins structure by structure.
 //
-// Why byte-identical works:
-//  - The boolean space fields are unions of prefixes; IntervalSet is
-//    canonical, so content equality is insertion-order-independent.
-//  - The DROP map ORs category bits per point — order-independent — and
-//    SegmentMap::finalize produces the canonical maximally-coalesced form
-//    of whatever point-function was painted.
-//  - The ROV paint goes least-specific-first; equal-length distinct
-//    prefixes are disjoint, so any order within a length class paints the
-//    same point-function. Per-prefix status is a worst-of fold (invalid >
-//    valid > not-found) over active origins — also order-independent.
-//  - The RIR paint is static (administered blocks), seeded once.
+// Incremental compaction. apply() marks, per substrate, the prefixes whose
+// contribution changed (a route appearing or vanishing, a route's ROV status
+// flipping, an AS0 ROA, a DROP listing, an IRR object or delegation coming or
+// going). compact() keeps the previous snapshot as its base and splices:
+//  - Dirty regions are laminar. CIDR blocks either nest or are disjoint, so
+//    sorting the dirty prefixes and dropping every one contained in an
+//    earlier one leaves sorted, disjoint regions. A point outside every
+//    region is covered by no changed prefix, so its value in the base is
+//    still its value now.
+//  - Inside a region R the value at a point depends only on live prefixes
+//    that contain it: R's strict ancestors (one covering lookup) and the
+//    live prefixes inside R (one ordered range, parents before children).
+//    A boolean space takes R whole or the union of its contained prefixes;
+//    ROV and DROP take one stack sweep over the contained prefixes, seeded
+//    with the longest ancestor's status (ROV) or all ancestors' OR (DROP).
+//  - Canonical seams. Base pieces are clipped to the gaps between regions
+//    and appended, in address order, through the same coalescing step as
+//    the rebuilt pieces, so the output is the canonical (sorted, maximally
+//    coalesced) form of the current point-function: the unique form
+//    compile_snapshot's IntervalSet and SegmentMap::finalize produce too.
+// With no base (the first compaction, or after seed_rir) the single region
+// is the whole space [0, 2^32): one builder, no separate full-rebuild path.
+// The RIR paint is static (administered blocks), seeded once.
 //
 // ROV is recomputed incrementally: a BGP event refreshes its own prefix; a
 // ROA event refreshes every announced prefix the ROA covers (an ordered-map
@@ -54,7 +66,8 @@ class Applier {
 
   /// Paint the administering-RIR map from the registry's static administered
   /// blocks. Call once before the first compact(); delegation *allocations*
-  /// flow through events, the administered carve-up does not change.
+  /// flow through events, the administered carve-up does not change. Drops
+  /// the compaction base, so the next compact() rebuilds the whole space.
   void seed_rir(const rir::Registry& registry);
 
   /// Apply one event to the live state. Returns false for events that do
@@ -65,9 +78,14 @@ class Applier {
 
   /// Fold the live state into an immutable snapshot for day `d` —
   /// byte-identical to svc::compile_snapshot(study, index, d, version) once
-  /// every event up to and including day `d` has been applied.
-  std::shared_ptr<const svc::Snapshot> compact(net::Date d,
-                                               uint64_t version) const;
+  /// every event up to and including day `d` has been applied. Splices the
+  /// previous compaction's snapshot, rebuilding only the regions events
+  /// dirtied since (see header), and keeps the result as the next base.
+  std::shared_ptr<const svc::Snapshot> compact(net::Date d, uint64_t version);
+
+  /// Regions the last compact() rebuilt, summed over the six spliced
+  /// substrates (a whole-space rebuild counts one per substrate).
+  size_t last_compact_regions() const { return last_compact_regions_; }
 
   uint64_t applied() const { return applied_; }
   uint64_t rejected() const { return rejected_; }
@@ -92,11 +110,27 @@ class Applier {
     uint8_t incident;
   };
 
+  /// Prefixes whose contribution to each spliced substrate changed since
+  /// the last compaction (unsorted, may repeat).
+  struct Dirty {
+    std::vector<net::Prefix> routed, as0, irr, allocated, drop, rov;
+  };
+
   /// Recompute the ROV status of `route` (keyed by `p`) against the live
   /// ROA set — the exact RFC 6811 worst-of fold compile_snapshot runs.
-  void refresh_rov(const net::Prefix& p, LiveRoute& route) const;
-  /// Refresh every announced prefix contained in `p` (ROA added/removed).
+  /// Returns true when the status changed.
+  bool refresh_rov(const net::Prefix& p, LiveRoute& route) const;
+  /// Refresh every announced prefix contained in `p` (ROA added/removed),
+  /// marking the ones whose status changed.
   void refresh_covered(const net::Prefix& p);
+  /// Record `p` as dirty. Before the first compaction there is no base to
+  /// splice into, so nothing is recorded: that compaction rebuilds it all.
+  void mark(std::vector<net::Prefix>& dirty, const net::Prefix& p) {
+    if (base_) dirty.push_back(p);
+  }
+  /// The regions to rebuild for one substrate — normalized `dirty`, or the
+  /// whole space with no base — and clear `dirty`.
+  std::vector<net::Prefix> take_regions(std::vector<net::Prefix>& dirty);
 
   uint64_t applied_ = 0;
   uint64_t rejected_ = 0;
@@ -114,6 +148,11 @@ class Applier {
   std::map<net::Prefix, uint32_t> alloc_;
   /// Static administering-RIR paint (seed_rir), copied into every snapshot.
   net::SegmentMap<uint8_t> rir_;
+
+  /// The last compaction's snapshot: what compact() splices into.
+  std::shared_ptr<const svc::Snapshot> base_;
+  Dirty dirty_;
+  size_t last_compact_regions_ = 0;
 };
 
 }  // namespace droplens::stream

@@ -37,6 +37,9 @@ Publisher::Publisher(AlarmMonitor::Config alarm_config)
                    "Online alarms raised, by kind");
   compactions_ = obs::counter("droplens_stream_compactions_total", {},
                               "Live-state compactions into snapshots");
+  compact_regions_ = obs::counter(
+      "droplens_stream_compact_regions_total", {},
+      "Address regions compactions rebuilt (whole space: one per substrate)");
   deltas_ = obs::counter("droplens_stream_deltas_total", {},
                          "Delta responses served");
   resets_ = obs::counter("droplens_stream_resets_total", {},
@@ -50,6 +53,9 @@ Publisher::Publisher(AlarmMonitor::Config alarm_config)
       "droplens_stream_ingest_alarm_latency_ns",
       obs::Registry::log2_bounds(39), {},
       "Ingest-to-alarm latency in nanoseconds (log2 buckets)");
+  compact_duration_ = obs::histogram(
+      "droplens_stream_compact_duration_ns", obs::Registry::log2_bounds(39),
+      {}, "Compaction duration in nanoseconds (log2 buckets)");
 }
 
 void Publisher::seed_rir(const rir::Registry& registry) {
@@ -115,8 +121,15 @@ uint64_t Publisher::ingest(const Event& e) {
 
 std::shared_ptr<const svc::Snapshot> Publisher::compact(net::Date d,
                                                         uint64_t version) {
+  const auto start = std::chrono::steady_clock::now();
+  std::shared_ptr<const svc::Snapshot> snapshot = applier_.compact(d, version);
+  compact_duration_.observe(static_cast<uint64_t>(
+      std::chrono::duration_cast<std::chrono::nanoseconds>(
+          std::chrono::steady_clock::now() - start)
+          .count()));
+  compact_regions_.inc(applier_.last_compact_regions());
   compactions_.inc();
-  return applier_.compact(d, version);
+  return snapshot;
 }
 
 void Publisher::trim(size_t keep_last) {

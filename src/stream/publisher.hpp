@@ -20,6 +20,8 @@
 //   droplens_stream_alarms_total{kind}
 //   droplens_stream_ingest_alarm_latency_ns   (log2 histogram)
 //   droplens_stream_compactions_total, _deltas_total, _resets_total
+//   droplens_stream_compact_duration_ns       (log2 histogram)
+//   droplens_stream_compact_regions_total     (regions compactions rebuilt)
 //   droplens_stream_head_seq                  (gauge)
 //   droplens_stream_ingest_lag_seconds        (gauge, see
 //                                              refresh_ingest_lag_gauge)
@@ -98,11 +100,13 @@ class Publisher : public svc::StreamFeed {
   obs::Counter alarms_moas_;
   obs::Counter alarms_sub_prefix_;
   obs::Counter compactions_;
+  obs::Counter compact_regions_;
   obs::Counter deltas_;
   obs::Counter resets_;
   obs::Gauge head_seq_;
   obs::Gauge ingest_lag_;
   obs::Histogram alarm_latency_;
+  obs::Histogram compact_duration_;
   /// Ingest traces land in the flight recorder's "ingest" op class, with
   /// apply/alarm/append stage timings — the same machinery that traces
   /// requests, following the ingest path's thread hops instead.

@@ -1,11 +1,13 @@
 // The streaming subsystem: event codec hostility, EventLog serial
 // semantics, online-vs-batch alarm equivalence, Applier-compact vs
-// compile_snapshot structural identity, flat snapshot diffs, the
+// compile_snapshot structural identity, incremental compaction vs a
+// whole-space rebuild on random event streams, flat snapshot diffs, the
 // publisher/subscriber delta protocol (including the RTR-style reset), and
 // replay determinism across thread counts.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,8 +15,11 @@
 #include "core/alarms.hpp"
 #include "core/drop_index.hpp"
 #include "core/study.hpp"
+#include "obs/metrics.hpp"
+#include "rpki/tal.hpp"
 #include "sim/event_replayer.hpp"
 #include "sim/generator.hpp"
+#include "sim/rng.hpp"
 #include "stream/alarm_monitor.hpp"
 #include "stream/applier.hpp"
 #include "stream/event.hpp"
@@ -23,6 +28,7 @@
 #include "stream/snapshot_diff.hpp"
 #include "stream/subscriber.hpp"
 #include "stream/wire.hpp"
+#include "svc/admin_http.hpp"
 #include "svc/client.hpp"
 #include "svc/protocol.hpp"
 #include "svc/server.hpp"
@@ -366,25 +372,225 @@ TEST_F(StreamWorldTest, ApplierCompactMatchesCompileSnapshot) {
   core::Study s = study();
   core::DropIndex index = core::DropIndex::build(s);
 
+  // One Applier compacts every 7 days across the whole window (and on its
+  // last day), so every compaction after the first is spliced into the
+  // previous one; each must match the batch compile of its day.
   stream::Applier applier;
   applier.seed_rir(world_->registry);
   size_t next = 0;
   const std::vector<stream::Event>& events = replayer_->events();
-  for (net::Date d : {config_->window_begin, config_->window_begin + 60,
-                      config_->window_end}) {
+  std::vector<net::Date> days;
+  for (net::Date d = config_->window_begin; d < config_->window_end; d = d + 7) {
+    days.push_back(d);
+  }
+  days.push_back(config_->window_end);
+  uint64_t version = 0;
+  for (net::Date d : days) {
     while (next < events.size() && events[next].date <= d) {
       applier.apply(events[next]);
       ++next;
     }
-    std::shared_ptr<const svc::Snapshot> live = applier.compact(d, 7);
+    std::shared_ptr<const svc::Snapshot> live = applier.compact(d, ++version);
     std::shared_ptr<const svc::Snapshot> batch =
-        svc::compile_snapshot(s, index, d, 7);
-    EXPECT_TRUE(stream::snapshots_equal(*live, *batch))
+        svc::compile_snapshot(s, index, d, version);
+    ASSERT_TRUE(stream::snapshots_equal(*live, *batch))
         << "divergence on " << d.to_string();
     EXPECT_EQ(live->date(), d);
-    EXPECT_EQ(live->version(), 7u);
+    EXPECT_EQ(live->version(), version);
   }
+  EXPECT_GT(days.size(), 10u);
   EXPECT_EQ(applier.rejected(), 0u);
+}
+
+TEST_F(StreamWorldTest, CompactWithNoEventsBetweenKeepsContent) {
+  stream::Applier applier;
+  applier.seed_rir(world_->registry);
+  const net::Date d = config_->window_begin + 30;
+  for (const stream::Event& e : replayer_->events()) {
+    if (e.date <= d) applier.apply(e);
+  }
+  std::shared_ptr<const svc::Snapshot> first = applier.compact(d, 1);
+  EXPECT_EQ(applier.last_compact_regions(), 6u);  // the whole space, each
+  std::shared_ptr<const svc::Snapshot> second = applier.compact(d + 1, 2);
+  EXPECT_EQ(applier.last_compact_regions(), 0u);
+  EXPECT_TRUE(stream::snapshots_equal(*first, *second));
+  EXPECT_EQ(second->version(), 2u);
+  EXPECT_EQ(second->date(), d + 1);
+  EXPECT_EQ(first->version(), 1u);  // the base is never mutated
+  EXPECT_EQ(first->date(), d);
+}
+
+TEST_F(StreamWorldTest, SeedRirAfterCompactionRebuildsTheWholeSpace) {
+  const std::vector<stream::Event>& events = replayer_->events();
+  const net::Date mid = config_->window_begin + 30;
+  const net::Date end = config_->window_begin + 60;
+
+  stream::Applier applier;
+  applier.seed_rir(world_->registry);
+  size_t next = 0;
+  while (next < events.size() && events[next].date <= mid) {
+    applier.apply(events[next++]);
+  }
+  applier.compact(mid, 1);
+  applier.seed_rir(world_->registry);
+  while (next < events.size() && events[next].date <= end) {
+    applier.apply(events[next++]);
+  }
+  std::shared_ptr<const svc::Snapshot> spliced = applier.compact(end, 2);
+  EXPECT_EQ(applier.last_compact_regions(), 6u);
+
+  stream::Applier fresh;
+  fresh.seed_rir(world_->registry);
+  for (size_t i = 0; i < next; ++i) fresh.apply(events[i]);
+  EXPECT_TRUE(stream::snapshots_equal(*spliced, *fresh.compact(end, 2)));
+  EXPECT_FALSE(spliced->rir().empty());
+}
+
+TEST_F(StreamWorldTest, CompactionMetricsReachTheMetricsPage) {
+  obs::Registry reg;
+  obs::ScopedRegistry scope(reg);
+  stream::Publisher publisher(monitor_config());
+  publisher.seed_rir(world_->registry);
+  const std::vector<stream::Event>& events = replayer_->events();
+  const net::Date first = config_->window_begin + 30;
+  const net::Date second = first + 7;
+  size_t next = 0;
+  while (next < events.size() && events[next].date <= first) {
+    publisher.ingest(events[next++]);
+  }
+  publisher.compact(first, 1);
+  while (next < events.size() && events[next].date <= second) {
+    publisher.ingest(events[next++]);
+  }
+  publisher.compact(second, 2);
+  const size_t regions = 6 + publisher.applier().last_compact_regions();
+
+  svc::AdminHttpService admin(reg);
+  const std::string page = admin.serve("GET /metrics HTTP/1.1\r\n\r\n");
+  EXPECT_NE(page.find("droplens_stream_compact_duration_ns_bucket"),
+            std::string::npos);
+  EXPECT_NE(page.find("droplens_stream_compact_duration_ns_count 2\n"),
+            std::string::npos);
+  EXPECT_NE(page.find("droplens_stream_compact_regions_total " +
+                      std::to_string(regions) + "\n"),
+            std::string::npos)
+      << page;
+  EXPECT_NE(page.find("droplens_stream_compactions_total 2\n"),
+            std::string::npos);
+}
+
+// ---------------------------------------------------------------------------
+// Incremental compaction vs a whole-space rebuild, on random event streams
+
+/// Random prefixes that nest and overlap: mostly inside 10.0.0.0/8, with
+/// the whole space and host routes mixed in.
+net::Prefix random_prefix(sim::Rng& rng) {
+  static constexpr int kLengths[] = {0, 1, 8, 9, 12, 16, 20, 23, 24, 30, 32};
+  const int length = kLengths[rng.below(std::size(kLengths))];
+  // Addresses cluster in a few /20s so prefixes collide and nest often.
+  const uint32_t addr = (uint32_t{10} << 24) |
+                        (static_cast<uint32_t>(rng.below(4)) << 12) |
+                        static_cast<uint32_t>(rng.below(1u << 12));
+  return net::Prefix::containing(net::Ipv4(addr), length);
+}
+
+stream::Event random_add(sim::Rng& rng, net::Date d) {
+  static constexpr stream::EventType kAdds[] = {
+      stream::EventType::kBgpAnnounce,   stream::EventType::kBgpAnnounce,
+      stream::EventType::kRoaAdd,        stream::EventType::kRoaAdd,
+      stream::EventType::kDropAdd,       stream::EventType::kIrrAdd,
+      stream::EventType::kDelegationAdd};
+  stream::Event e;
+  e.type = kAdds[rng.below(std::size(kAdds))];
+  e.prefix = random_prefix(rng);
+  e.date = d;
+  switch (e.type) {
+    case stream::EventType::kBgpAnnounce:
+      e.value = static_cast<uint32_t>(rng.range(1, 4));
+      break;
+    case stream::EventType::kRoaAdd:
+      e.value = static_cast<uint32_t>(rng.range(0, 3));  // 0: an AS0 ROA
+      e.aux = static_cast<uint8_t>(rng.range(e.prefix.length(), 32));
+      e.aux2 = static_cast<uint8_t>(rng.below(rpki::kAllTals.size()));
+      break;
+    case stream::EventType::kDropAdd:
+      e.aux = static_cast<uint8_t>(rng.below(256));
+      e.aux2 = static_cast<uint8_t>(rng.below(2));
+      break;
+    default:
+      break;
+  }
+  return e;
+}
+
+stream::EventType removal_of(stream::EventType add) {
+  switch (add) {
+    case stream::EventType::kBgpAnnounce: return stream::EventType::kBgpWithdraw;
+    case stream::EventType::kRoaAdd: return stream::EventType::kRoaRemove;
+    case stream::EventType::kDropAdd: return stream::EventType::kDropRemove;
+    case stream::EventType::kIrrAdd: return stream::EventType::kIrrRemove;
+    default: return stream::EventType::kDelegationRemove;
+  }
+}
+
+/// Every field of every prefix the stream touched, through the indexed
+/// batch path and the reference path.
+void expect_lookups_match_reference(const svc::Snapshot& snap,
+                                    const std::vector<net::Prefix>& probes) {
+  const std::vector<uint8_t> fields(probes.size(), svc::kAllFields);
+  std::vector<svc::Answer> batch(probes.size());
+  snap.lookup_batch(probes, fields, batch);
+  for (size_t i = 0; i < probes.size(); ++i) {
+    EXPECT_EQ(batch[i], snap.lookup_reference(probes[i], svc::kAllFields))
+        << probes[i].to_string();
+  }
+}
+
+TEST(StreamApplierProperty, SplicedCompactionsMatchWholeSpaceRebuilds) {
+  size_t compactions = 0, rejected = 0;
+  for (uint64_t seed = 1; seed <= 24; ++seed) {
+    sim::Rng rng(seed);
+    std::vector<stream::Event> stream;
+    std::vector<stream::Event> adds;
+    std::vector<net::Prefix> probes;
+    stream::Applier applier;
+    net::Date d(7000);
+    uint64_t version = 0;
+    const int n = static_cast<int>(rng.range(150, 400));
+    for (int i = 0; i < n; ++i) {
+      stream::Event e;
+      if (!adds.empty() && rng.chance(0.4)) {
+        // Remove an earlier add — already removed, or with a field
+        // changed, it does not match and the applier rejects it.
+        e = adds[rng.below(adds.size())];
+        e.type = removal_of(e.type);
+        e.date = d;
+        if (rng.chance(0.1)) e.value ^= 1;
+      } else {
+        e = random_add(rng, d);
+        adds.push_back(e);
+      }
+      stream.push_back(e);
+      probes.push_back(e.prefix);
+      applier.apply(e);
+      if (rng.chance(0.05)) d = d + 1;
+      if (rng.chance(0.04) || i + 1 == n) {
+        std::shared_ptr<const svc::Snapshot> spliced =
+            applier.compact(d, ++version);
+        stream::Applier fresh;
+        for (const stream::Event& f : stream) fresh.apply(f);
+        std::shared_ptr<const svc::Snapshot> whole =
+            fresh.compact(d, version);
+        ASSERT_TRUE(stream::snapshots_equal(*spliced, *whole))
+            << "seed " << seed << ", after event " << i;
+        expect_lookups_match_reference(*spliced, probes);
+        ++compactions;
+      }
+    }
+    rejected += applier.rejected();
+  }
+  EXPECT_GT(compactions, 200u);
+  EXPECT_GT(rejected, 0u);
 }
 
 TEST_F(StreamWorldTest, ReplayIsDeterministicAcrossThreadCounts) {
